@@ -370,6 +370,15 @@ fn encode(key: &ResultKey, record: &ScenarioRecord) -> Vec<u8> {
     out
 }
 
+/// A sibling temp path for an atomic write of `path`, unique per call: two
+/// threads writing the same artifact at once each rename their own file, so
+/// neither finds its temp file taken by the other's rename.
+fn temp_sibling(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    path.with_extension(format!("tmp.{}.{n}", std::process::id()))
+}
+
 /// Writes the artifact for `(key, record)` to `path` atomically: bytes go
 /// to a sibling temp file first and are renamed into place, so a concurrent
 /// reader sees either the old artifact or the complete new one.
@@ -379,7 +388,7 @@ pub fn write_artifact(
     record: &ScenarioRecord,
 ) -> Result<(), ResultError> {
     let bytes = encode(key, record);
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    let tmp = temp_sibling(path);
     std::fs::write(&tmp, &bytes)?;
     match std::fs::rename(&tmp, path) {
         Ok(()) => Ok(()),
@@ -624,7 +633,7 @@ fn write_index_file(path: &Path, map: &HashMap<u64, u64>) -> std::io::Result<()>
         out.extend_from_slice(&k.to_le_bytes());
         out.extend_from_slice(&v.to_le_bytes());
     }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    let tmp = temp_sibling(path);
     std::fs::write(&tmp, &out)?;
     match std::fs::rename(&tmp, path) {
         Ok(()) => Ok(()),
@@ -1017,6 +1026,32 @@ mod tests {
         store.put(&key, &record).expect("re-put");
         assert_eq!(store.get(&key).as_ref(), Some(&record));
         assert_eq!((store.hits(), store.misses()), (2, 2));
+    }
+
+    #[test]
+    fn racing_puts_of_one_key_all_succeed_and_leave_no_temp_files() {
+        let scratch = ScratchDir::new("race");
+        let store = ResultStore::new(scratch.0.clone());
+        let key = sample_key();
+        let record = sample_record();
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..25 {
+                        store.put(&key, &record).expect("racing put");
+                    }
+                });
+            }
+        });
+        assert_eq!(store.get(&key).as_ref(), Some(&record));
+        let names: Vec<String> = std::fs::read_dir(&scratch.0)
+            .expect("list store")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names.iter().all(|name| !name.contains(".tmp.")),
+            "temp files left behind: {names:?}"
+        );
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! byte-identical to the direct free-function calls they wrap, on every
 //! backend.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 
 use rand::Rng;
@@ -24,6 +26,9 @@ use radio_protocols::protocol::ProtocolInput;
 use radio_protocols::{
     cluster_distributed, ClusteringConfig, EnergyModel, Msg, RadioStack, Stack, StackBuilder,
 };
+
+/// Numbers the result-store cases of this test process, one directory each.
+static STORE_CASE: AtomicUsize = AtomicUsize::new(0);
 
 /// Decodes a drawn configuration into a `Scenario`. Families, backends and
 /// protocols are picked by small integers so the vendored proptest's range
@@ -132,10 +137,14 @@ proptest! {
         let scenario = decode_scenario(
             family_pick, size, seed_lo, seed_count, backend_pick, proto_pick,
         );
+        // One fresh directory per case: drawn parameters repeat under a
+        // fixed seed, so only a per-process counter keeps two cases from
+        // sharing a store. Clearing it first drops leftovers of an earlier
+        // run that died with the same pid.
         let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
             .join("prop-results")
-            .join(format!("{}-{family_pick}-{size}-{seed_lo}-{seed_count}-{backend_pick}-{proto_pick}",
-                std::process::id()));
+            .join(format!("{}-{}", std::process::id(), STORE_CASE.fetch_add(1, Ordering::Relaxed)));
+        std::fs::remove_dir_all(&dir).ok();
         let store = ResultStore::new(&dir);
         let reference = records_to_json(&run_scenario(&scenario));
         let cfg = RunnerConfig::with_threads(threads);

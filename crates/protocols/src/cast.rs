@@ -52,7 +52,8 @@ fn unwrap(m: &Msg) -> (usize, Msg) {
 /// per call instead.
 #[derive(Clone, Debug, Default)]
 pub struct CastScratch {
-    /// `holding[v]`: the payload parent node `v` currently holds.
+    /// `holding[v]`: the payload parent node `v` currently holds (during an
+    /// up-cast, already tagged with `v`'s cluster).
     holding: Vec<Option<Msg>>,
     /// The occupied entries of `holding`, so reset is `O(|touched|)` rather
     /// than `O(n)` per cast.
@@ -240,9 +241,14 @@ pub fn up_cast_into(
         steps,
         ..
     } = scratch;
+    // Holders keep their payload already tagged with their own cluster —
+    // the exact message they transmit — so a node is wrapped once when it
+    // starts holding rather than once per step it sends in, and a delivery
+    // with the right tag is stored as is.
     for (v, m) in messages.iter() {
-        if participating.contains(state.cluster_of[v]) {
-            holding[v] = Some(m.clone());
+        let c = state.cluster_of[v];
+        if participating.contains(c) {
+            holding[v] = Some(wrap(c, m));
             touched.push(v);
         }
     }
@@ -258,8 +264,8 @@ pub fn up_cast_into(
             frame.clear();
             for &c in &clusters_at[j] {
                 for &v in state.members_at_layer(c, stage) {
-                    if let Some(payload) = &holding[v] {
-                        frame.add_sender(v, wrap(c, payload));
+                    if let Some(tagged) = &holding[v] {
+                        frame.add_sender(v, tagged.clone());
                     }
                 }
                 for &v in state.members_at_layer(c, stage - 1) {
@@ -271,9 +277,8 @@ pub fn up_cast_into(
             }
             parent.local_broadcast(frame);
             for (v, m) in frame.delivered().iter() {
-                // Check the cluster tag before paying for the payload split.
                 if m.word(0) as usize == state.cluster_of[v] && holding[v].is_none() {
-                    holding[v] = Some(m.split_first().1);
+                    holding[v] = Some(m.clone());
                     touched.push(v);
                 }
             }
@@ -281,8 +286,8 @@ pub fn up_cast_into(
     }
 
     for c in participating.iter() {
-        if let Some(m) = &holding[state.centers[c]] {
-            out.insert(c, m.clone());
+        if let Some(tagged) = &holding[state.centers[c]] {
+            out.insert(c, tagged.split_first().1);
         }
     }
 }
@@ -444,6 +449,83 @@ mod tests {
         let mut frame = net.new_frame();
         let received = up_cast(&mut net, &state, &participating, &messages, &mut frame);
         assert!(received.is_empty());
+    }
+
+    #[test]
+    fn up_cast_delivers_holder_payloads_without_the_cluster_tag() {
+        let g = generators::grid(10, 10);
+        let (mut net, state) = setup(g, 4, 7);
+        let mut messages = NodeSlots::new(state.num_nodes());
+        for v in 0..state.num_nodes() {
+            messages.insert(v, Msg::words(&[v as u64, 77, 88]));
+        }
+        let participating = all_clusters(&state);
+        let mut frame = net.new_frame();
+        let received = up_cast(&mut net, &state, &participating, &messages, &mut frame);
+        assert_eq!(received.len(), state.num_clusters());
+        for (c, m) in received.iter() {
+            let holder = m.word(0) as usize;
+            assert_eq!(state.cluster_of[holder], c);
+            assert_eq!(
+                *m,
+                Msg::words(&[holder as u64, 77, 88]),
+                "cluster {c} got a re-tagged or truncated payload"
+            );
+        }
+    }
+
+    #[test]
+    fn up_cast_from_the_centers_returns_their_own_payloads() {
+        let g = generators::grid(8, 8);
+        let (mut net, state) = setup(g, 3, 8);
+        let mut messages = NodeSlots::new(state.num_nodes());
+        for c in 0..state.num_clusters() {
+            messages.insert(state.centers[c], Msg::words(&[1000 + c as u64, 5]));
+        }
+        let participating = all_clusters(&state);
+        let mut frame = net.new_frame();
+        let received = up_cast(&mut net, &state, &participating, &messages, &mut frame);
+        for c in 0..state.num_clusters() {
+            assert_eq!(received.get(c), Some(&Msg::words(&[1000 + c as u64, 5])));
+        }
+    }
+
+    #[test]
+    fn up_cast_into_with_reused_scratch_matches_a_fresh_up_cast() {
+        // Two stacks built alike make the same LB draws call for call, so
+        // only the scratch reuse differs between them.
+        let (mut net, state) = setup(generators::grid(9, 9), 4, 9);
+        let (mut fresh_net, _) = setup(generators::grid(9, 9), 4, 9);
+        let participating = all_clusters(&state);
+        let mut frame = net.new_frame();
+        let mut fresh_frame = fresh_net.new_frame();
+        let mut scratch = CastScratch::new(state.num_nodes());
+        let mut out = NodeSlots::new(state.num_clusters());
+        for round in 0..3u64 {
+            let mut messages = NodeSlots::new(state.num_nodes());
+            for v in (round as usize..state.num_nodes()).step_by(3) {
+                messages.insert(v, Msg::words(&[v as u64, round]));
+            }
+            up_cast_into(
+                &mut net,
+                &state,
+                &participating,
+                &messages,
+                &mut frame,
+                &mut scratch,
+                &mut out,
+            );
+            let fresh = up_cast(
+                &mut fresh_net,
+                &state,
+                &participating,
+                &messages,
+                &mut fresh_frame,
+            );
+            let reused: Vec<(usize, Msg)> = out.iter().map(|(c, m)| (c, m.clone())).collect();
+            let want: Vec<(usize, Msg)> = fresh.iter().map(|(c, m)| (c, m.clone())).collect();
+            assert_eq!(reused, want, "round {round}");
+        }
     }
 
     #[test]

@@ -105,6 +105,35 @@ mod tests {
     }
 
     #[test]
+    fn a_node_listed_as_sender_and_receiver_is_charged_twice() {
+        let mut l = LbLedger::new(3);
+        l.record_call([1usize], [1usize, 2]);
+        assert_eq!(l.calls(), 1);
+        assert_eq!(l.participations(1), 2);
+        assert_eq!(l.sends(1), 1);
+        assert_eq!(l.participations(2), 1);
+        assert_eq!(l.total_participations(), 3);
+    }
+
+    #[test]
+    fn records_node_set_participants_at_the_top_of_a_big_universe() {
+        let n = 1 << 13;
+        let mut senders = radio_sim::NodeSet::new(n);
+        senders.extend([n - 64, n - 1]);
+        let mut receivers = radio_sim::NodeSet::new(n);
+        receivers.extend([n - 65, n - 2, n - 1]);
+        let mut l = LbLedger::new(n);
+        l.record_call(senders.iter(), receivers.iter());
+        assert_eq!(l.participations(n - 1), 2);
+        assert_eq!(l.sends(n - 1), 1);
+        assert_eq!(l.participations(n - 64), 1);
+        assert_eq!(l.participations(n - 65), 1);
+        assert_eq!(l.sends(n - 65), 0);
+        assert_eq!(l.total_participations(), 5);
+        assert_eq!(l.participations(0), 0);
+    }
+
+    #[test]
     fn empty_ledger() {
         let l = LbLedger::new(0);
         assert_eq!(l.max_participations(), 0);

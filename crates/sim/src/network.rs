@@ -215,9 +215,9 @@ impl<M: Payload> RadioNetwork<M> {
         // bench): the scan path costs ~Σ deg(listener) bitset probes, the
         // columnar path ~Σ deg(transmitter) coverage writes — each a little
         // heavier than a probe, hence the 2x weight — plus a word-parallel
-        // classification sweep over the listen prefix. Both sums are O(|set|)
-        // to compute from the CSR degree table, negligible next to either
-        // resolution loop.
+        // classification sweep over the listen set's occupied-word range.
+        // Both sums are O(|set|) to compute from the CSR degree table,
+        // negligible next to either resolution loop.
         let t_deg: usize = frame
             .transmit
             .keys()
@@ -230,7 +230,7 @@ impl<M: Payload> RadioNetwork<M> {
             .filter(|&v| !frame.transmit.contains(v))
             .map(|v| self.graph.degree(v))
             .sum();
-        if 2 * t_deg + frame.listen.watermark() <= l_deg {
+        if 2 * t_deg + frame.listen.word_range().len() <= l_deg {
             self.step_frame_columnar(frame);
         } else {
             self.step_frame_scan(frame);
@@ -337,7 +337,7 @@ impl<M: Payload> RadioNetwork<M> {
         let transmit_w = frame.transmit.keys().words();
         let once_w = covered_once.words();
         let twice_w = covered_twice.words();
-        for wi in 0..frame.listen.watermark() {
+        for wi in frame.listen.word_range() {
             // 64 listeners classified per word; only actual listeners cost
             // a per-bit feedback insert.
             let mut bits = listen_w[wi] & !transmit_w[wi];
@@ -586,6 +586,55 @@ mod tests {
                 assert_eq!(fa.received, fb.received, "received index diverged");
             }
             assert_eq!(a.report(), b.report(), "energy accounting diverged");
+        }
+    }
+
+    #[test]
+    fn step_frame_paths_agree_on_listeners_at_the_top_of_a_long_path() {
+        // Listeners packed near the top of a 2^13 universe start the listen
+        // range far past word 0; the third slot reuses the frames with a
+        // range that spans the whole universe. Scan, columnar and the
+        // adaptive dispatch must agree on every slot.
+        let n = 1 << 13;
+        let g = generators::path(n);
+        type Scenario = (Vec<(NodeId, u64)>, Vec<NodeId>, Vec<NodeId>);
+        let scenarios: Vec<Scenario> = vec![
+            (
+                vec![(n - 3, 1)],
+                vec![n - 4, n - 2, n - 1],
+                vec![n - 4, n - 2],
+            ),
+            (vec![(n - 3, 2), (n - 1, 3)], vec![n - 2], vec![]),
+            (vec![(1, 4)], vec![0, 2, n - 1], vec![0, 2]),
+        ];
+        for cd in [CollisionDetection::None, CollisionDetection::Receiver] {
+            let mut nets: Vec<RadioNetwork<u64>> = (0..3)
+                .map(|_| RadioNetwork::new(g.clone()).with_collision_detection(cd))
+                .collect();
+            let mut frames: Vec<SlotFrame<u64>> = (0..3).map(|_| SlotFrame::new(n)).collect();
+            for (tx, listen, heard) in &scenarios {
+                for f in &mut frames {
+                    f.clear();
+                    for &(v, m) in tx {
+                        f.transmit.insert(v, m);
+                    }
+                    for &v in listen {
+                        f.listen.insert(v);
+                    }
+                }
+                nets[0].step_frame_scan(&mut frames[0]);
+                nets[1].step_frame_columnar(&mut frames[1]);
+                nets[2].step_frame(&mut frames[2]);
+                assert_eq!(frames[0].received.iter().collect::<Vec<_>>(), *heard);
+                for f in &frames[1..] {
+                    let va: Vec<_> = frames[0].feedback.iter().collect();
+                    let vb: Vec<_> = f.feedback.iter().collect();
+                    assert_eq!(va, vb, "feedback diverged under {cd:?}");
+                    assert_eq!(frames[0].received, f.received);
+                }
+            }
+            assert_eq!(nets[0].report(), nets[1].report());
+            assert_eq!(nets[0].report(), nets[2].report());
         }
     }
 

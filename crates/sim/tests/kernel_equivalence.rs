@@ -7,6 +7,10 @@
 //!   (`Vec<bool>`), across universes chosen to straddle the 64-bit word
 //!   boundaries — including the empty universe — and arbitrary fill
 //!   patterns;
+//! * a model-based test runs random operation sequences on [`NodeSet`]
+//!   against a `BTreeSet` reference over universes up to 2^20 with the
+//!   members packed near the top, checking members, `len`, order and that
+//!   no bit lies outside the occupied-word range after every operation;
 //! * the two delivery-resolution paths of the simulator,
 //!   `step_frame_scan` and `step_frame_columnar`, must produce identical
 //!   frames (feedback lane, received index) and identical energy meters on
@@ -16,8 +20,10 @@
 
 use proptest::prelude::*;
 
+use std::collections::BTreeSet;
+
 use radio_graph::Graph;
-use radio_sim::{CollisionDetection, NodeSet, RadioNetwork, SlotFrame};
+use radio_sim::{CollisionDetection, NodeSet, RadioNetwork, RoundFrame, SlotFrame};
 
 /// Universes straddling the word boundaries: empty, single word, exactly
 /// one word, one past it, exactly two words, one past them.
@@ -112,6 +118,133 @@ proptest! {
     }
 }
 
+/// Universes of the model-based test: tiny ones around the first word
+/// boundary, and the large ones where a sparse set near the top leaves
+/// thousands of empty words below its occupied range.
+const MODEL_UNIVERSES: [usize; 6] = [1, 63, 64, 65, 1 << 13, 1 << 20];
+
+/// A node id for the model-based test: three draws in four come from the
+/// top 192 ids of the universe, the rest from anywhere.
+fn model_node(n: usize, seed: &mut u64) -> usize {
+    let r = next_bits(seed);
+    if r.is_multiple_of(4) {
+        (r / 4) as usize % n
+    } else {
+        n - 1 - (r / 4) as usize % n.min(192)
+    }
+}
+
+/// Asserts that `set` holds exactly `model`, in ascending order, with an
+/// exact `len`, and that every word outside its occupied range is zero.
+fn assert_matches_model(set: &NodeSet, model: &BTreeSet<usize>, step: usize, op: &str) {
+    let members: Vec<usize> = set.iter().collect();
+    assert!(
+        members.windows(2).all(|w| w[0] < w[1]),
+        "step {step} ({op}): iteration not ascending"
+    );
+    assert_eq!(
+        members,
+        model.iter().copied().collect::<Vec<_>>(),
+        "step {step} ({op}): members"
+    );
+    assert_eq!(set.len(), model.len(), "step {step} ({op}): len");
+    let range = set.word_range();
+    for (i, &w) in set.words().iter().enumerate() {
+        assert!(
+            w == 0 || range.contains(&i),
+            "step {step} ({op}): word {i} is set outside the range {range:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn node_set_matches_a_btree_set_model(
+        (upick, steps) in (0usize..6, 1usize..160),
+        seed in 0u64..1_000_000,
+    ) {
+        let n = MODEL_UNIVERSES[upick];
+        let mut s = seed.wrapping_mul(2).wrapping_add(1);
+        // `a` is the set under test, `b` the second operand of the binary
+        // kernels; an op may swap them so both see every kind of history.
+        let (mut a, mut b) = (NodeSet::new(n), NodeSet::new(n));
+        let (mut ma, mut mb) = (BTreeSet::new(), BTreeSet::new());
+        let mut frame: RoundFrame<()> = RoundFrame::new(n);
+        for step in 0..steps {
+            let op = match next_bits(&mut s) % 12 {
+                0..=2 => {
+                    let v = model_node(n, &mut s);
+                    prop_assert_eq!(a.insert(v), ma.insert(v));
+                    "insert"
+                }
+                3 => {
+                    let v = model_node(n, &mut s);
+                    prop_assert_eq!(a.remove(v), ma.remove(&v));
+                    "remove"
+                }
+                4 => {
+                    a.clear();
+                    ma.clear();
+                    "clear"
+                }
+                5 => {
+                    a.copy_from(&b);
+                    ma = mb.clone();
+                    "copy_from"
+                }
+                6 => {
+                    a.union_with(&b);
+                    ma.extend(mb.iter().copied());
+                    "union_with"
+                }
+                7 => {
+                    a.intersect_with(&b);
+                    ma.retain(|v| mb.contains(v));
+                    "intersect_with"
+                }
+                8 => {
+                    a.difference_with(&b);
+                    ma.retain(|v| !mb.contains(v));
+                    "difference_with"
+                }
+                9 => {
+                    // Flip random bits of one word through the raw view.
+                    let w = model_node(n, &mut s) / 64;
+                    let valid = if (w + 1) * 64 <= n { u64::MAX } else { (1u64 << (n % 64)) - 1 };
+                    let flip = next_bits(&mut s) & valid;
+                    a.words_mut()[w] ^= flip;
+                    a.recount();
+                    for bit in 0..64 {
+                        if flip >> bit & 1 == 1 {
+                            let v = w * 64 + bit;
+                            if !ma.remove(&v) {
+                                ma.insert(v);
+                            }
+                        }
+                    }
+                    "words_mut + recount"
+                }
+                10 => {
+                    frame.set_receivers(&a);
+                    assert_matches_model(frame.receivers(), &ma, step, "set_receivers");
+                    "set_receivers"
+                }
+                _ => {
+                    std::mem::swap(&mut a, &mut b);
+                    std::mem::swap(&mut ma, &mut mb);
+                    "swap operands"
+                }
+            };
+            assert_matches_model(&a, &ma, step, op);
+            let shared = ma.intersection(&mb).count();
+            prop_assert_eq!(a.count_intersection(&b), shared, "step {} ({})", step, op);
+            prop_assert_eq!(a.is_disjoint(&b), shared == 0, "step {} ({})", step, op);
+        }
+    }
+}
+
 /// A pseudo-random graph over `n` nodes with edge probability `p`/8.
 fn random_graph(n: usize, p: u64, seed: &mut u64) -> Graph {
     let mut edges = Vec::new();
@@ -167,17 +300,19 @@ proptest! {
 
     #[test]
     fn columnar_and_scan_resolution_are_byte_identical(
-        (n, p, split) in (2usize..48, 0u64..9, 0u64..8),
-        seed in 0u64..1_000_000,
+        (n, p, split) in (2usize..160, 0u64..9, 0u64..8),
+        (idle_below, seed) in (0usize..160, 0u64..1_000_000),
     ) {
         let mut s = seed.wrapping_mul(2).wrapping_add(1);
         let g = random_graph(n, p, &mut s);
         // Random role split: each node transmits with probability split/8,
         // otherwise listens (idle nodes appear when split == 0 via the
-        // empty transmitter branch below drawing nothing).
+        // empty transmitter branch below drawing nothing). Nodes below
+        // `idle_below` stay idle, so the listen set's occupied-word range
+        // often starts past word 0.
         let mut transmitters = Vec::new();
         let mut listeners = Vec::new();
-        for v in 0..n {
+        for v in idle_below.min(n)..n {
             if next_bits(&mut s) % 8 < split {
                 transmitters.push((v, v as u64 + 100));
             } else if !next_bits(&mut s).is_multiple_of(8) {
