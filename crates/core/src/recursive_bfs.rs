@@ -237,30 +237,42 @@ fn recurse(
 
     // ---- Step 3: the main wavefront loop.
     let mut dist: Vec<Option<u64>> = vec![None; n];
+    // The vertices at distance exactly `frontier_value`, i.e. the senders of
+    // the next hop. Every one is active: sources are admitted only if
+    // active, a hop settles only listeners (which join, hence are active),
+    // and Step 6 deactivates only distances below the next stage's first
+    // frontier value.
+    let mut frontier: Vec<usize> = Vec::new();
     for &s in sources {
-        if active[s] {
+        if active[s] && dist[s].is_none() {
             dist[s] = Some(0);
+            frontier.push(s);
         }
     }
+    let mut next_frontier: Vec<usize> = Vec::new();
+    // The hop's listeners, X_i minus the settled vertices, kept
+    // incrementally so a hop costs its frontier and the listeners' words
+    // rather than a scan of all n vertices.
+    let mut listeners = NodeSet::new(n);
     let num_stages = depth.div_ceil(inv_beta);
 
     for i in 0..num_stages {
         if trace_top {
             stats.stages = i + 1;
         }
-        // Step 4: the participation set X_i.
-        let joins: Vec<bool> = (0..n)
-            .map(|v| {
-                active[v]
-                    && estimates[state.cluster_of[v]]
-                        .map(|e| e.joins_wavefront(beta))
-                        .unwrap_or(false)
-            })
-            .collect();
-        if trace_top {
-            for (v, &joined) in joins.iter().enumerate() {
-                if joined {
+        // Step 4: the participation set X_i; its unsettled part listens.
+        listeners.clear();
+        for v in 0..n {
+            let joined = active[v]
+                && estimates[state.cluster_of[v]]
+                    .map(|e| e.joins_wavefront(beta))
+                    .unwrap_or(false);
+            if joined {
+                if trace_top {
                     stats.wavefront_memberships[v] += 1;
+                }
+                if dist[v].is_none() {
+                    listeners.insert(v);
                 }
             }
         }
@@ -270,22 +282,23 @@ fn recurse(
         for t in 0..inv_beta {
             let frontier_value = i * inv_beta + t;
             frame.clear();
-            for v in 0..n {
-                if active[v] && dist[v] == Some(frontier_value) {
-                    frame.add_sender(v, Msg::words(&[frontier_value]));
-                } else if joins[v] && dist[v].is_none() {
-                    frame.add_receiver(v);
-                }
+            for &v in &frontier {
+                frame.add_sender(v, Msg::words(&[frontier_value]));
             }
+            frame.set_receivers(&listeners);
             if frame.receivers().is_empty() {
                 break;
             }
             net.local_broadcast(&mut frame);
+            next_frontier.clear();
             for (v, m) in frame.delivered().iter() {
                 if dist[v].is_none() {
                     dist[v] = Some(m.word(0) + 1);
+                    listeners.remove(v);
+                    next_frontier.push(v);
                 }
             }
+            std::mem::swap(&mut frontier, &mut next_frontier);
         }
 
         // Step 6: deactivate settled vertices strictly inside the new
@@ -314,6 +327,10 @@ fn recurse(
             // Only the frontier itself is left; nothing beyond it to settle.
             break;
         }
+        // Every hop of this stage ran (an early stop leaves the wavefront
+        // empty), so the last hop's settled vertices are the wavefront and
+        // the next stage's first senders.
+        debug_assert_eq!(frontier, wavefront);
 
         // Step 7: Special Update for clusters that might soon be relevant.
         let z_next = zseq.z(i + 1);

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use radio_graph::Graph;
 use radio_sim::{
     decay_local_broadcast, decay_local_broadcast_cd, CollisionDetection, DecayParams, DecayScratch,
-    EnergyModel, LbFeedback, NodeSlots, RadioNetwork, RoundFrame,
+    EnergyModel, LbFeedback, NodeSet, NodeSlots, RadioNetwork, RoundFrame,
 };
 use rand::Rng;
 use rand::SeedableRng;
@@ -68,6 +68,15 @@ pub fn local_broadcast_once(
 /// the frame's feedback lane reports per-receiver verdicts: `Silence` for
 /// receivers with no sending neighbour, `Noise` for receivers whose
 /// delivery failed despite sending neighbours.
+///
+/// Deliveries are resolved from the senders' side: a call walks the
+/// senders' neighbourhoods to find the receivers with a sending neighbour,
+/// then draws one pick per such receiver, in ascending node order (a
+/// `gen_bool` failure draw first when `f > 0`, then a uniform
+/// `gen_range` over its sending neighbours). Receivers with no sending
+/// neighbour make no draw, so a wide call with a small frontier costs the
+/// frontier's neighbourhoods plus the ledger, not one adjacency scan per
+/// receiver.
 #[derive(Clone, Debug)]
 pub struct AbstractLbNetwork {
     graph: Arc<Graph>,
@@ -76,6 +85,10 @@ pub struct AbstractLbNetwork {
     ledger: Option<LbLedger>,
     failure_prob: f64,
     rng: ChaCha8Rng,
+    /// Per-call scratch: the receivers with at least one sending neighbour,
+    /// marked from the senders' side. Empty between calls; its clear
+    /// touches only the words the call occupied.
+    candidates: NodeSet,
     /// Per-receiver scratch: the sending neighbours found in the single CSR
     /// pass, so the uniform pick indexes the buffer instead of re-scanning.
     pick_buf: Vec<usize>,
@@ -98,6 +111,7 @@ impl AbstractLbNetwork {
             ledger: ledger.then(|| LbLedger::new(n)),
             failure_prob,
             rng: ChaCha8Rng::seed_from_u64(seed),
+            candidates: NodeSet::new(n),
             pick_buf: Vec::new(),
         }
     }
@@ -137,31 +151,32 @@ impl RadioStack for AbstractLbNetwork {
         if let Some(ledger) = &mut self.ledger {
             ledger.record_call(senders.keys().iter(), receivers.iter());
         }
+        let sending = senders.keys();
+        // Only a receiver with a sending neighbour can hear anything, so the
+        // candidates come from one pass over the senders' neighbourhoods;
+        // receivers out of every sender's reach are never visited.
+        // Sender/receiver sets are required to be disjoint; a vertex listed
+        // in both acts as a sender only, so it is never a candidate.
+        for s in sending.iter() {
+            for &r in self.graph.neighbors(s) {
+                if receivers.contains(r) && !sending.contains(r) {
+                    self.candidates.insert(r);
+                }
+            }
+        }
         let cd = self.cd == CollisionDetection::Receiver;
-        // Receivers are visited in ascending node order — the frame's
+        // Candidates are visited in ascending node order — the set's
         // iteration order by construction — so the RNG stream maps to
         // receivers deterministically on every run.
-        for r in receivers.iter() {
-            if senders.contains(r) {
-                // Sender/receiver sets are required to be disjoint; a vertex
-                // listed in both acts as a sender only.
-                continue;
-            }
+        for r in self.candidates.iter() {
             // Collect sending neighbours in one pass over the CSR adjacency
             // against the sender occupancy bitset; the uniform pick then
             // indexes the buffer instead of re-scanning the adjacency.
             self.pick_buf.clear();
             for &u in self.graph.neighbors(r) {
-                if senders.contains(u) {
+                if sending.contains(u) {
                     self.pick_buf.push(u);
                 }
-            }
-            let count = self.pick_buf.len();
-            if count == 0 {
-                if cd {
-                    feedback.insert(r, LbFeedback::Silence);
-                }
-                continue;
             }
             if self.failure_prob > 0.0 && self.rng.gen_bool(self.failure_prob) {
                 if cd {
@@ -171,13 +186,21 @@ impl RadioStack for AbstractLbNetwork {
             }
             // The specification only promises *some* neighbour's message; we
             // pick uniformly to avoid accidental reliance on a tie-break.
-            let pick = self.rng.gen_range(0..count);
+            let pick = self.rng.gen_range(0..self.pick_buf.len());
             let u = self.pick_buf[pick];
             delivered.insert(r, senders.get(u).expect("occupied sender").clone());
             if cd {
                 feedback.insert(r, LbFeedback::Delivered);
             }
         }
+        if cd {
+            for r in receivers.iter() {
+                if !sending.contains(r) && !self.candidates.contains(r) {
+                    feedback.insert(r, LbFeedback::Silence);
+                }
+            }
+        }
+        self.candidates.clear();
     }
 
     fn lb_energy(&self, v: usize) -> u64 {

@@ -18,14 +18,24 @@ use radio_protocols::cast::{down_cast, up_cast};
 use radio_protocols::Stack;
 use radio_protocols::{
     cluster_distributed, local_broadcast_once, ClusteringConfig, CollisionDetection, EnergyModel,
-    Msg, NodeSet, NodeSlots, RadioStack, StackBuilder,
+    LbFeedback, Msg, NodeSet, NodeSlots, RadioStack, StackBuilder,
 };
 
 fn arb_connected_graph() -> impl Strategy<Value = Graph> {
+    arb_connected_graph_on(3, 30, 40)
+}
+
+/// A connected graph on `min_n..max_n` nodes: a random tree plus up to
+/// `max_extra - 1` extra edges.
+fn arb_connected_graph_on(
+    min_n: usize,
+    max_n: usize,
+    max_extra: usize,
+) -> impl Strategy<Value = Graph> {
     (
-        3usize..30,
+        min_n..max_n,
         any::<u64>(),
-        proptest::collection::vec((0usize..30, 0usize..30), 0..40),
+        proptest::collection::vec((0..max_n, 0..max_n), 0..max_extra),
     )
         .prop_map(|(n, seed, extra)| {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -40,19 +50,24 @@ fn arb_connected_graph() -> impl Strategy<Value = Graph> {
         })
 }
 
-/// A straightforward map-based reference implementation of one reliable
-/// Local-Broadcast call — the representation the seed repository used —
+/// A straightforward map-based reference implementation of one
+/// Local-Broadcast call — the representation the seed repository used,
+/// walking every receiver in sorted order and scanning its adjacency —
 /// kept here purely as an executable specification for the frame engine.
-/// Iterates receivers in sorted order and draws the uniform sender pick
-/// from the same RNG discipline as `AbstractLbNetwork`, so a reliable
-/// frame-based call must reproduce it exactly.
+/// A vertex listed as both sender and receiver acts as a sender only.
+/// Receivers with a sending neighbour draw from the same RNG discipline as
+/// `AbstractLbNetwork` (a `gen_bool(f)` failure draw when `f > 0`, then a
+/// uniform `gen_range` pick); the rest draw nothing. Returns the deliveries
+/// and the collision-detection verdict of every receiver.
 fn reference_local_broadcast(
     g: &Graph,
     senders: &HashMap<usize, Msg>,
     receivers: &HashSet<usize>,
+    failure_prob: f64,
     rng: &mut ChaCha8Rng,
-) -> HashMap<usize, Msg> {
+) -> (HashMap<usize, Msg>, HashMap<usize, LbFeedback>) {
     let mut delivered = HashMap::new();
+    let mut verdicts = HashMap::new();
     let mut ordered: Vec<usize> = receivers.iter().copied().collect();
     ordered.sort_unstable();
     for r in ordered {
@@ -66,12 +81,18 @@ fn reference_local_broadcast(
             .filter(|u| senders.contains_key(u))
             .collect();
         if sending.is_empty() {
+            verdicts.insert(r, LbFeedback::Silence);
+            continue;
+        }
+        if failure_prob > 0.0 && rng.gen_bool(failure_prob) {
+            verdicts.insert(r, LbFeedback::Noise);
             continue;
         }
         let pick = sending[rng.gen_range(0..sending.len())];
         delivered.insert(r, senders[&pick].clone());
+        verdicts.insert(r, LbFeedback::Delivered);
     }
-    delivered
+    (delivered, verdicts)
 }
 
 proptest! {
@@ -148,7 +169,7 @@ proptest! {
         // Reference, same seed. `with_failures(0.0, seed)` reseeds the
         // network's RNG, whose only draws are the per-receiver picks.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let want = reference_local_broadcast(&g, &sender_map, &receiver_set, &mut rng);
+        let (want, _) = reference_local_broadcast(&g, &sender_map, &receiver_set, 0.0, &mut rng);
 
         let got: HashMap<usize, Msg> = out.iter().map(|(v, m)| (v, m.clone())).collect();
         prop_assert_eq!(got, want);
@@ -157,6 +178,77 @@ proptest! {
         for v in 0..n {
             let expected = u64::from(sender_map.contains_key(&v) || receiver_set.contains(&v));
             prop_assert_eq!(net.lb_energy(v), expected);
+        }
+    }
+
+    /// A sequence of calls on one abstract stack — lossy or reliable, with
+    /// or without collision detection, senders possibly also listed as
+    /// receivers — delivers, reports and charges exactly what the
+    /// receiver-driven reference does call after call, so the RNG stream
+    /// stays aligned across calls.
+    #[test]
+    fn abstract_call_sequences_match_the_receiver_driven_reference(
+        // Up to 299 nodes, so node sets span several 64-bit words.
+        g in arb_connected_graph_on(2, 300, 400),
+        seed in 0u64..1000,
+        failure in 0usize..4,
+        cd in any::<bool>(),
+        calls in proptest::collection::vec((any::<u64>(), 1u32..8, 1u32..8), 1..6),
+    ) {
+        let n = g.num_nodes();
+        let failure_prob = [0.0, 0.25, 0.5, 0.9][failure];
+        let mut builder = StackBuilder::new(g.clone())
+            .with_seed(seed)
+            .with_failures(failure_prob);
+        if cd {
+            builder = builder.with_cd();
+        }
+        let mut net = builder.build();
+        let mut frame = net.new_frame();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut energy = vec![0u64; n];
+        let mut sends = vec![0u64; n];
+        for (call, &(call_seed, sender_eighths, receiver_eighths)) in calls.iter().enumerate() {
+            // Each vertex sends with probability s/8 and listens with
+            // probability r/8, independently, so some do both.
+            let mut pick = ChaCha8Rng::seed_from_u64(call_seed);
+            let mut sender_map = HashMap::new();
+            let mut receiver_set = HashSet::new();
+            frame.clear();
+            for v in 0..n {
+                if pick.gen_range(0..8u32) < sender_eighths {
+                    let m = Msg::words(&[call as u64, v as u64]);
+                    frame.add_sender(v, m.clone());
+                    sender_map.insert(v, m);
+                    energy[v] += 1;
+                    sends[v] += 1;
+                }
+                if pick.gen_range(0..8u32) < receiver_eighths {
+                    frame.add_receiver(v);
+                    receiver_set.insert(v);
+                    energy[v] += 1;
+                }
+            }
+            net.local_broadcast(&mut frame);
+            let (want, verdicts) =
+                reference_local_broadcast(&g, &sender_map, &receiver_set, failure_prob, &mut rng);
+            let got: HashMap<usize, Msg> =
+                frame.delivered().iter().map(|(v, m)| (v, m.clone())).collect();
+            prop_assert_eq!(got, want, "deliveries of call {}", call);
+            let feedback: HashMap<usize, LbFeedback> =
+                frame.feedback().iter().map(|(v, &f)| (v, f)).collect();
+            if cd {
+                prop_assert_eq!(feedback, verdicts, "verdicts of call {}", call);
+            } else {
+                prop_assert!(feedback.is_empty());
+            }
+        }
+        let view = net.energy_view();
+        prop_assert_eq!(net.lb_time(), calls.len() as u64);
+        prop_assert_eq!(view.lb_time(), calls.len() as u64);
+        for v in 0..n {
+            prop_assert_eq!(net.lb_energy(v), energy[v], "energy of node {}", v);
+            prop_assert_eq!(view.lb_sends(v), sends[v], "sends of node {}", v);
         }
     }
 

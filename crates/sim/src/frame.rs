@@ -104,11 +104,13 @@ impl NodeSet {
     }
 
     /// Number of members.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// `true` if the set has no members.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -134,6 +136,7 @@ impl NodeSet {
     ///
     /// Panics if `v` is outside the universe (see the type-level note on
     /// out-of-universe ids; use [`NodeSet::try_insert`] to probe instead).
+    #[inline]
     pub fn insert(&mut self, v: usize) -> bool {
         assert!(
             v < self.universe,
@@ -164,6 +167,7 @@ impl NodeSet {
     /// Removes `v`; returns `true` if it was present. Out-of-universe ids
     /// are tolerated (never members, so removal is a no-op). Removing the
     /// last member resets the occupied-word range.
+    #[inline]
     pub fn remove(&mut self, v: usize) -> bool {
         if v >= self.universe {
             return false;
@@ -179,11 +183,13 @@ impl NodeSet {
     }
 
     /// Membership test. `O(1)`; out-of-universe ids are never members.
+    #[inline]
     pub fn contains(&self, v: usize) -> bool {
         v < self.universe && self.words[v / 64] & (1u64 << (v % 64)) != 0
     }
 
     /// Iterates the members in ascending order. `O(range + |set|)`.
+    #[inline]
     pub fn iter(&self) -> NodeSetIter<'_> {
         let words = &self.words[..self.hi];
         let lo = self.lo.min(self.hi);
@@ -206,6 +212,7 @@ impl NodeSet {
     /// every member. Empty (`0..0`) for a set that was never filled or was
     /// cleared; otherwise it spans at least the words holding members, and
     /// possibly more after removals.
+    #[inline]
     pub fn word_range(&self) -> Range<usize> {
         self.lo.min(self.hi)..self.hi
     }
@@ -390,6 +397,7 @@ pub struct NodeSetIter<'a> {
 impl Iterator for NodeSetIter<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
         while self.current == 0 {
             self.word_idx += 1;
