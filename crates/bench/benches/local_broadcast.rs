@@ -101,7 +101,8 @@ fn abstract_call(
     (net, frame)
 }
 
-/// The abstract backend on its three call shapes:
+/// The abstract backend on its three call shapes, and the readout of its
+/// counters:
 ///
 /// * `wide` — one sender on a path, every other node listening (a trivial
 ///   BFS round with a one-vertex frontier): almost no receiver has a
@@ -112,6 +113,9 @@ fn abstract_call(
 /// * `hyperball` — one sender at the grid's centre, its four neighbours
 ///   listening: every receiver has a sending neighbour, the worst case for
 ///   resolving deliveries from the senders' side.
+/// * `readout` — one `energy_view` plus a `diff` against an earlier view
+///   on a 2^20-node path, after a `wide` call: what every protocol run
+///   pays on top of its calls.
 fn bench_abstract_lb(c: &mut Criterion) {
     let mut group = c.benchmark_group("abstract_lb");
     group.sample_size(20);
@@ -137,6 +141,17 @@ fn bench_abstract_lb(c: &mut Criterion) {
         let neighbours = g.neighbors(centre).to_vec();
         let (mut net, mut frame) = abstract_call(g, &[centre], neighbours.into_iter());
         b.iter(|| net.local_broadcast(&mut frame));
+    });
+    // The wide call leaves whole-word ledger charges on most words.
+    let n = 1usize << 20;
+    let id = BenchmarkId::new("readout/energy_view_diff", n);
+    group.bench_with_input(id, &n, |b, &n| {
+        let mid = n / 2;
+        let (mut net, mut frame) =
+            abstract_call(generators::path(n), &[mid], (0..n).filter(|&v| v != mid));
+        let before = net.energy_view();
+        net.local_broadcast(&mut frame);
+        b.iter(|| net.energy_view().diff(&before));
     });
     group.finish();
 }

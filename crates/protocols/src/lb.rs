@@ -75,8 +75,9 @@ pub fn local_broadcast_once(
 /// `gen_bool` failure draw first when `f > 0`, then a uniform
 /// `gen_range` over its sending neighbours). Receivers with no sending
 /// neighbour make no draw, so a wide call with a small frontier costs the
-/// frontier's neighbourhoods plus the ledger, not one adjacency scan per
-/// receiver.
+/// frontier's neighbourhoods plus the ledger's charge, not one adjacency
+/// scan per receiver. The ledger charges a fully occupied 64-node word of
+/// receivers with one increment (see [`LbLedger`]).
 #[derive(Clone, Debug)]
 pub struct AbstractLbNetwork {
     graph: Arc<Graph>,
@@ -149,7 +150,7 @@ impl RadioStack for AbstractLbNetwork {
         frame.clear_delivered();
         let (senders, receivers, delivered, feedback) = frame.parts_with_feedback_mut();
         if let Some(ledger) = &mut self.ledger {
-            ledger.record_call(senders.keys().iter(), receivers.iter());
+            ledger.record_call(senders.keys(), receivers);
         }
         let sending = senders.keys();
         // Only a receiver with a sending neighbour can hear anything, so the
@@ -212,18 +213,20 @@ impl RadioStack for AbstractLbNetwork {
     }
 
     fn energy_view(&self) -> EnergyView {
-        let n = self.num_nodes();
-        EnergyView::lb_only(
-            (0..n).map(|v| self.lb_energy(v)).collect(),
-            (0..n)
-                .map(|v| self.ledger.as_ref().map_or(0, |l| l.sends(v)))
-                .collect(),
-            self.lb_time(),
-        )
+        ledger_view(self.ledger.as_ref(), self.num_nodes())
     }
 
     fn topology(&self) -> Option<&Graph> {
         Some(&self.graph)
+    }
+}
+
+/// The LB-unit part of a backend's [`EnergyView`]: the ledger's counters
+/// read out in bulk, or all zeros on a ledger-less stack.
+fn ledger_view(ledger: Option<&LbLedger>, n: usize) -> EnergyView {
+    match ledger {
+        Some(l) => EnergyView::lb_only(l.participation_counts(), l.send_counts(), l.calls()),
+        None => EnergyView::lb_only(vec![0; n], vec![0; n], 0),
     }
 }
 
@@ -326,7 +329,7 @@ impl RadioStack for PhysicalLbNetwork {
 
     fn local_broadcast(&mut self, frame: &mut LbFrame) {
         if let Some(ledger) = &mut self.ledger {
-            ledger.record_call(frame.senders().keys().iter(), frame.receivers().iter());
+            ledger.record_call(frame.senders().keys(), frame.receivers());
         }
         match self.cd {
             CollisionDetection::None => {
@@ -359,16 +362,8 @@ impl RadioStack for PhysicalLbNetwork {
     }
 
     fn energy_view(&self) -> EnergyView {
-        let n = self.num_nodes();
         let meter = self.net.meter();
-        EnergyView::lb_only(
-            (0..n).map(|v| self.lb_energy(v)).collect(),
-            (0..n)
-                .map(|v| self.ledger.as_ref().map_or(0, |l| l.sends(v)))
-                .collect(),
-            self.lb_time(),
-        )
-        .with_physical(
+        ledger_view(self.ledger.as_ref(), self.num_nodes()).with_physical(
             meter.listen_counts().to_vec(),
             meter.transmit_counts().to_vec(),
             meter.slots(),

@@ -38,6 +38,7 @@
 
 use std::fmt;
 
+use radio_sim::NodeSet;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -718,15 +719,17 @@ impl Protocol for LbSweepProtocol {
     ) -> ProtocolOutput {
         let n = net.num_nodes();
         let mut delivered = 0u64;
+        // Everyone but the round's sender listens: the full set minus one
+        // node, copied into the frame a word at a time.
+        let mut listeners = NodeSet::new(n);
+        listeners.fill();
         for r in 0..self.rounds {
             frame.clear();
             let src = (r as usize) % n;
             frame.add_sender(src, Msg::words(&[r]));
-            for v in 0..n {
-                if v != src {
-                    frame.add_receiver(v);
-                }
-            }
+            listeners.remove(src);
+            frame.set_receivers(&listeners);
+            listeners.insert(src);
             net.local_broadcast(frame);
             delivered += frame.delivered().len() as u64;
         }
@@ -836,6 +839,105 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"protocol\":\"lb_sweep_4\""), "{json}");
         assert!(json.contains("\"outcome\":"), "{json}");
+    }
+
+    /// One call's senders, receivers and deliveries.
+    type LoggedCall = (Vec<usize>, Vec<usize>, Vec<(usize, Msg)>);
+
+    /// Forwards to `inner`, logging every call.
+    struct Recording {
+        inner: crate::Stack,
+        calls: Vec<LoggedCall>,
+    }
+
+    impl RadioStack for Recording {
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn global_n(&self) -> usize {
+            self.inner.global_n()
+        }
+        fn capabilities(&self) -> Capabilities {
+            self.inner.capabilities()
+        }
+        fn local_broadcast(&mut self, frame: &mut LbFrame) {
+            self.inner.local_broadcast(frame);
+            self.calls.push((
+                frame.senders().keys().iter().collect(),
+                frame.receivers().iter().collect(),
+                frame
+                    .delivered()
+                    .iter()
+                    .map(|(v, m)| (v, m.clone()))
+                    .collect(),
+            ));
+        }
+        fn lb_energy(&self, v: usize) -> u64 {
+            self.inner.lb_energy(v)
+        }
+        fn lb_time(&self) -> u64 {
+            self.inner.lb_time()
+        }
+        fn energy_view(&self) -> EnergyView {
+            self.inner.energy_view()
+        }
+    }
+
+    /// `lb_sweep` as it was first written: one `add_receiver` per
+    /// listening node per round. Kept as the reference for the
+    /// word-filled receiver set.
+    fn per_node_lb_sweep(net: &mut dyn RadioStack, rounds: u64, frame: &mut LbFrame) -> u64 {
+        let n = net.num_nodes();
+        let mut delivered = 0u64;
+        for r in 0..rounds {
+            frame.clear();
+            let src = (r as usize) % n;
+            frame.add_sender(src, Msg::words(&[r]));
+            for v in 0..n {
+                if v != src {
+                    frame.add_receiver(v);
+                }
+            }
+            net.local_broadcast(frame);
+            delivered += frame.delivered().len() as u64;
+        }
+        delivered
+    }
+
+    #[test]
+    fn lb_sweep_matches_the_per_node_receiver_loop() {
+        for n in [63, 64, 65, 130] {
+            // More rounds than nodes, so the sender wraps around.
+            let rounds = n as u64 + 3;
+            for g in [generators::path(n), generators::star(n)] {
+                for physical in [false, true] {
+                    let build = || {
+                        let mut b = StackBuilder::new(g.clone()).with_seed(n as u64);
+                        if physical {
+                            b = b.physical(EnergyModel::Uniform);
+                        }
+                        Recording {
+                            inner: b.build(),
+                            calls: Vec::new(),
+                        }
+                    };
+                    let (mut word_filled, mut per_node) = (build(), build());
+                    let report = LbSweepProtocol { rounds }
+                        .run(&mut word_filled, &ProtocolInput::from_seed(1))
+                        .unwrap();
+                    let mut frame = per_node.new_frame();
+                    let want = per_node_lb_sweep(&mut per_node, rounds, &mut frame);
+                    let case = format!("n = {n}, physical = {physical}");
+                    assert_eq!(report.outcome(), want, "{case}");
+                    assert_eq!(word_filled.calls, per_node.calls, "{case}");
+                    let view = per_node.energy_view();
+                    assert_eq!(word_filled.energy_view(), view, "{case}");
+                    assert_eq!(report.energy, view, "{case}");
+                    assert_eq!(view.lb_time(), rounds, "{case}");
+                    assert_eq!(view.has_physical(), physical, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

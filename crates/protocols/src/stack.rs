@@ -139,7 +139,8 @@ impl Capabilities {
 /// on physically-capable stacks — slot-level counters.
 ///
 /// Snapshots are cheap (two or four `Vec<u64>` copies), order totally by
-/// time, and subtract: `later.diff(&earlier)` isolates one phase of a run.
+/// time, and subtract: `later.diff(&earlier)` isolates one phase of a run,
+/// reusing `later`'s vectors for the result.
 /// This is the single surface that replaces reading `LbLedger` and
 /// `EnergyMeter` separately.
 #[derive(Clone, Debug, PartialEq)]
@@ -294,25 +295,27 @@ impl EnergyView {
     /// of a longer run (e.g. query energy after setup energy). Counters are
     /// monotone, so ordinary subtraction applies; panics if the views cover
     /// different node universes.
-    pub fn diff(&self, before: &EnergyView) -> EnergyView {
+    ///
+    /// Consumes `self` and subtracts in place, so `later.diff(&earlier)`
+    /// allocates nothing; clone `later` first to keep it. Slot-level
+    /// counters are subtracted when both views carry them, and kept as they
+    /// are when only `self` does.
+    pub fn diff(mut self, before: &EnergyView) -> EnergyView {
         assert_eq!(self.nodes(), before.nodes(), "view universe mismatch");
-        let sub = |a: &[u64], b: &[u64]| -> Vec<u64> {
-            a.iter().zip(b).map(|(x, y)| x.saturating_sub(*y)).collect()
+        let sub = |a: &mut [u64], b: &[u64]| {
+            a.iter_mut()
+                .zip(b)
+                .for_each(|(x, y)| *x = x.saturating_sub(*y));
         };
-        EnergyView {
-            lb_participations: sub(&self.lb_participations, &before.lb_participations),
-            lb_sends: sub(&self.lb_sends, &before.lb_sends),
-            lb_calls: self.lb_calls.saturating_sub(before.lb_calls),
-            physical: match (&self.physical, &before.physical) {
-                (Some(a), Some(b)) => Some(PhysicalCounters {
-                    listen: sub(&a.listen, &b.listen),
-                    transmit: sub(&a.transmit, &b.transmit),
-                    slots: a.slots.saturating_sub(b.slots),
-                }),
-                (a, _) => a.clone(),
-            },
-            energy_model: self.energy_model,
+        sub(&mut self.lb_participations, &before.lb_participations);
+        sub(&mut self.lb_sends, &before.lb_sends);
+        self.lb_calls = self.lb_calls.saturating_sub(before.lb_calls);
+        if let (Some(a), Some(b)) = (&mut self.physical, &before.physical) {
+            sub(&mut a.listen, &b.listen);
+            sub(&mut a.transmit, &b.transmit);
+            a.slots = a.slots.saturating_sub(b.slots);
         }
+        self
     }
 }
 

@@ -95,6 +95,72 @@ fn reference_local_broadcast(
     (delivered, verdicts)
 }
 
+/// One Local-Broadcast call: senders with their messages, and receivers.
+type Call = (HashMap<usize, Msg>, HashSet<usize>);
+
+/// Runs `calls` in order on one abstract stack over `g` and checks it
+/// against [`reference_local_broadcast`], fed from its own RNG stream with
+/// the stack's seed: deliveries and (with `cd`) verdicts after every call,
+/// so the streams must stay aligned call after call, then every node's
+/// `lb_energy` and `lb_sends` and the stack's `lb_time`. A node listed as
+/// sender and receiver is charged twice and sends once.
+fn check_calls_against_reference(
+    g: &Graph,
+    seed: u64,
+    failure_prob: f64,
+    cd: bool,
+    calls: &[Call],
+) {
+    let n = g.num_nodes();
+    let mut builder = StackBuilder::new(g.clone())
+        .with_seed(seed)
+        .with_failures(failure_prob);
+    if cd {
+        builder = builder.with_cd();
+    }
+    let mut net = builder.build();
+    let mut frame = net.new_frame();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut energy = vec![0u64; n];
+    let mut sends = vec![0u64; n];
+    for (call, (senders, receivers)) in calls.iter().enumerate() {
+        frame.clear();
+        for (&v, m) in senders {
+            frame.add_sender(v, m.clone());
+            energy[v] += 1;
+            sends[v] += 1;
+        }
+        for &v in receivers {
+            frame.add_receiver(v);
+            energy[v] += 1;
+        }
+        net.local_broadcast(&mut frame);
+        let (want, verdicts) =
+            reference_local_broadcast(g, senders, receivers, failure_prob, &mut rng);
+        let got: HashMap<usize, Msg> = frame
+            .delivered()
+            .iter()
+            .map(|(v, m)| (v, m.clone()))
+            .collect();
+        assert_eq!(got, want, "deliveries of call {call}");
+        let feedback: HashMap<usize, LbFeedback> =
+            frame.feedback().iter().map(|(v, &f)| (v, f)).collect();
+        if cd {
+            assert_eq!(feedback, verdicts, "verdicts of call {call}");
+        } else {
+            assert!(feedback.is_empty());
+        }
+    }
+    let view = net.energy_view();
+    assert_eq!(net.lb_time(), calls.len() as u64);
+    assert_eq!(view.lb_time(), calls.len() as u64);
+    for v in 0..n {
+        assert_eq!(net.lb_energy(v), energy[v], "energy of node {v}");
+        assert_eq!(view.lb_energy(v), energy[v], "view energy of node {v}");
+        assert_eq!(view.lb_sends(v), sends[v], "sends of node {v}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -196,60 +262,65 @@ proptest! {
         calls in proptest::collection::vec((any::<u64>(), 1u32..8, 1u32..8), 1..6),
     ) {
         let n = g.num_nodes();
-        let failure_prob = [0.0, 0.25, 0.5, 0.9][failure];
-        let mut builder = StackBuilder::new(g.clone())
-            .with_seed(seed)
-            .with_failures(failure_prob);
-        if cd {
-            builder = builder.with_cd();
-        }
-        let mut net = builder.build();
-        let mut frame = net.new_frame();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut energy = vec![0u64; n];
-        let mut sends = vec![0u64; n];
-        for (call, &(call_seed, sender_eighths, receiver_eighths)) in calls.iter().enumerate() {
-            // Each vertex sends with probability s/8 and listens with
-            // probability r/8, independently, so some do both.
-            let mut pick = ChaCha8Rng::seed_from_u64(call_seed);
-            let mut sender_map = HashMap::new();
-            let mut receiver_set = HashSet::new();
-            frame.clear();
-            for v in 0..n {
-                if pick.gen_range(0..8u32) < sender_eighths {
-                    let m = Msg::words(&[call as u64, v as u64]);
-                    frame.add_sender(v, m.clone());
-                    sender_map.insert(v, m);
-                    energy[v] += 1;
-                    sends[v] += 1;
+        let calls: Vec<Call> = calls
+            .iter()
+            .enumerate()
+            .map(|(call, &(call_seed, sender_eighths, receiver_eighths))| {
+                // Each vertex sends with probability s/8 and listens with
+                // probability r/8, independently, so some do both.
+                let mut pick = ChaCha8Rng::seed_from_u64(call_seed);
+                let mut senders = HashMap::new();
+                let mut receivers = HashSet::new();
+                for v in 0..n {
+                    if pick.gen_range(0..8u32) < sender_eighths {
+                        senders.insert(v, Msg::words(&[call as u64, v as u64]));
+                    }
+                    if pick.gen_range(0..8u32) < receiver_eighths {
+                        receivers.insert(v);
+                    }
                 }
-                if pick.gen_range(0..8u32) < receiver_eighths {
-                    frame.add_receiver(v);
-                    receiver_set.insert(v);
-                    energy[v] += 1;
+                (senders, receivers)
+            })
+            .collect();
+        check_calls_against_reference(&g, seed, [0.0, 0.25, 0.5, 0.9][failure], cd, &calls);
+    }
+
+    /// The same check on dense calls: every node but `k` listens, so the
+    /// ledger charges whole 64-node words, and the senders are either a
+    /// few random nodes or one aligned 64-node block (a whole word of
+    /// senders that are also receivers, charged twice and sending once).
+    #[test]
+    fn dense_abstract_call_sequences_match_the_receiver_driven_reference(
+        g in arb_connected_graph_on(64, 300, 400),
+        seed in 0u64..1000,
+        failure in 0usize..4,
+        cd in any::<bool>(),
+        calls in proptest::collection::vec((any::<u64>(), any::<bool>(), 0usize..8), 1..6),
+    ) {
+        let n = g.num_nodes();
+        let calls: Vec<Call> = calls
+            .iter()
+            .enumerate()
+            .map(|(call, &(call_seed, block, k))| {
+                let mut pick = ChaCha8Rng::seed_from_u64(call_seed);
+                let senders: Vec<usize> = if block {
+                    let w = pick.gen_range(0..n / 64);
+                    (64 * w..64 * w + 64).collect()
+                } else {
+                    (0..pick.gen_range(1..4usize)).map(|_| pick.gen_range(0..n)).collect()
+                };
+                let senders = senders
+                    .into_iter()
+                    .map(|v| (v, Msg::words(&[call as u64, v as u64])))
+                    .collect();
+                let mut receivers: HashSet<usize> = (0..n).collect();
+                for _ in 0..k {
+                    receivers.remove(&pick.gen_range(0..n));
                 }
-            }
-            net.local_broadcast(&mut frame);
-            let (want, verdicts) =
-                reference_local_broadcast(&g, &sender_map, &receiver_set, failure_prob, &mut rng);
-            let got: HashMap<usize, Msg> =
-                frame.delivered().iter().map(|(v, m)| (v, m.clone())).collect();
-            prop_assert_eq!(got, want, "deliveries of call {}", call);
-            let feedback: HashMap<usize, LbFeedback> =
-                frame.feedback().iter().map(|(v, &f)| (v, f)).collect();
-            if cd {
-                prop_assert_eq!(feedback, verdicts, "verdicts of call {}", call);
-            } else {
-                prop_assert!(feedback.is_empty());
-            }
-        }
-        let view = net.energy_view();
-        prop_assert_eq!(net.lb_time(), calls.len() as u64);
-        prop_assert_eq!(view.lb_time(), calls.len() as u64);
-        for v in 0..n {
-            prop_assert_eq!(net.lb_energy(v), energy[v], "energy of node {}", v);
-            prop_assert_eq!(view.lb_sends(v), sends[v], "sends of node {}", v);
-        }
+                (senders, receivers)
+            })
+            .collect();
+        check_calls_against_reference(&g, seed, [0.0, 0.25, 0.5, 0.9][failure], cd, &calls);
     }
 
     #[test]
@@ -335,7 +406,7 @@ proptest! {
         let mid = stack.energy_view();
         run_round(&mut stack, &mut frame, 1);
         let total = stack.energy_view();
-        let phase = total.diff(&mid);
+        let phase = total.clone().diff(&mid);
 
         prop_assert_eq!(total.lb_time(), stack.lb_time());
         prop_assert_eq!(total.max_lb_energy(), stack.max_lb_energy());

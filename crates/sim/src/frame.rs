@@ -38,10 +38,11 @@ use crate::model::{Feedback, LbFeedback};
 ///
 /// The bulk kernels ([`NodeSet::union_with`], [`NodeSet::intersect_with`],
 /// [`NodeSet::difference_with`], [`NodeSet::copy_from`],
-/// [`NodeSet::is_disjoint`], [`NodeSet::count_intersection`]) are written
-/// as straight-line loops over `u64` blocks — 64 membership decisions per
-/// iteration, autovectorizer-friendly — restricted to the occupied ranges
-/// involved, with `len` kept exact by `count_ones` accumulation. Raw word
+/// [`NodeSet::is_disjoint`], [`NodeSet::count_intersection`],
+/// [`NodeSet::fill`]) are written as straight-line loops over `u64`
+/// blocks — 64 membership decisions per iteration, autovectorizer-friendly
+/// — restricted to the occupied ranges involved, with `len` kept exact by
+/// `count_ones` accumulation. Raw word
 /// access for external kernels is available through [`NodeSet::words`] /
 /// [`NodeSet::words_mut`] + [`NodeSet::recount`], with
 /// [`NodeSet::word_range`] naming the blocks worth visiting.
@@ -205,6 +206,20 @@ impl NodeSet {
         for v in iter {
             self.insert(v);
         }
+    }
+
+    /// Makes the set the whole universe `0..n`, word-parallel: every word
+    /// is written at once, the last one masked to the universe.
+    pub fn fill(&mut self) {
+        self.words.fill(u64::MAX);
+        if let Some(last) = self.words.last_mut() {
+            if !self.universe.is_multiple_of(64) {
+                *last = (1u64 << (self.universe % 64)) - 1;
+            }
+        }
+        self.len = self.universe;
+        self.lo = 0;
+        self.hi = self.words.len();
     }
 
     /// The occupied-word range `lo..hi`: every word of [`NodeSet::words`]
@@ -687,6 +702,22 @@ mod tests {
         assert_send::<crate::DecayScratch<u64>>();
         assert_send::<crate::RadioNetwork<u64>>();
         assert_send::<crate::EnergyMeter>();
+    }
+
+    #[test]
+    fn node_set_fill_covers_exactly_the_universe() {
+        for n in [0, 1, 63, 64, 65, 130] {
+            let mut s = NodeSet::new(n);
+            s.extend(n.checked_sub(1));
+            s.fill();
+            assert_eq!(s.len(), n, "n = {n}");
+            assert_eq!(s.iter().collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
+            assert_eq!(s.word_range(), 0..n.div_ceil(64), "n = {n}");
+            let mut want = NodeSet::new(n);
+            want.extend(0..n);
+            assert_eq!(s, want, "n = {n}");
+            assert_range_invariant(&s);
+        }
     }
 
     #[test]
